@@ -188,8 +188,7 @@ func (b *Batch) Submit() []BatchCQE {
 		return nil
 	}
 	a := b.a
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(b.core)
 	cnt := &a.batch
 	cnt.batches.Add(1)

@@ -322,3 +322,57 @@ func TestRWvsAdvEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentDoubleMunmap races two exact Munmaps of one range, on
+// both cores. Only one may recycle the VA: a second free puts it in the
+// allocator twice, and two later Mmaps then share it. A fixed range
+// raced the same way must never reach the allocator, which does not
+// own it.
+func TestConcurrentDoubleMunmap(t *testing.T) {
+	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, PerCoreVA: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	const size = 4 * arch.PageSize
+	const fixed = arch.Vaddr(1) << 30 // below every per-core arena
+	for i := 0; i < rounds; i++ {
+		va, err := a.Mmap(0, size, arch.PermRW, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.MmapFixed(0, fixed, size, arch.PermRW, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.Run(2, func(core int) {
+			_ = a.Munmap(core, va, size)
+			_ = a.Munmap(core, fixed, size)
+		})
+		// The anonymous range belongs to core 0's arena and the fixed
+		// one would be routed to core 1's, so take two of each.
+		var got [4]arch.Vaddr
+		for k := range got {
+			if got[k], err = a.Mmap(k/2, size, arch.PermRW, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got[0] == got[1] || got[2] == got[3] {
+			t.Fatalf("round %d: a VA handed out twice: %#x", i, got)
+		}
+		for _, v := range got {
+			if v == fixed {
+				t.Fatalf("round %d: fixed VA %#x handed out by the allocator", i, v)
+			}
+			if err := a.Munmap(0, v, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkWF(t, a)
+	a.Destroy(0)
+	checkClean(t, m)
+}

@@ -15,7 +15,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -219,14 +218,6 @@ func (a *AddrSpace) Features() mm.Features {
 // state returns the PT-page state of pfn.
 func (a *AddrSpace) state(pfn arch.PFN) *pt.PageState { return a.tree.State(pfn) }
 
-// kernelEnter/kernelExit bracket "kernel" work for the user/kernel time
-// breakdowns of Figures 16 and 17.
-func (a *AddrSpace) kernelEnter() time.Time { return time.Now() }
-
-func (a *AddrSpace) kernelExit(t0 time.Time) {
-	a.stats.KernelNanos.Add(uint64(time.Since(t0)))
-}
-
 // registerFileMapping records a file mapping for reverse mapping and
 // registers this space in the file's mapper tree.
 func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npages uint64, shared bool) {
@@ -236,15 +227,15 @@ func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npage
 	a.fileMu.Unlock()
 }
 
-// pruneFileMappings drops reverse-mapping records whose range lies
-// entirely inside the unmapped range [lo, hi), unregistering each from
-// its file (AddMapper counts registrations, so the file's mapper entry
+// pruneFileMappingsLocked drops reverse-mapping records whose range
+// lies entirely inside the unmapped range [lo, hi) and returns their
+// files; the caller unregisters each from its file once fileMu is
+// released (AddMapper counts registrations, so the file's mapper entry
 // disappears exactly when this space's last mapping of it goes away).
 // Without this, Munmap leaked one fileMaps record — and one mapper
-// registration — per file mapping for the life of the space.
-func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
-	a.fileMu.Lock()
-	var gone []*mem.File
+// registration — per file mapping for the life of the space. The
+// caller holds fileMu.
+func (a *AddrSpace) pruneFileMappingsLocked(lo, hi arch.Vaddr) (gone []*mem.File) {
 	kept := a.fileMaps[:0]
 	for _, fm := range a.fileMaps {
 		end := fm.va + arch.Vaddr(fm.npages*arch.PageSize)
@@ -255,10 +246,7 @@ func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
 		kept = append(kept, fm)
 	}
 	a.fileMaps = kept
-	a.fileMu.Unlock()
-	for _, f := range gone {
-		f.RemoveMapper(a)
-	}
+	return gone
 }
 
 // dropFileMappings unregisters every file mapping (teardown).

@@ -18,8 +18,7 @@ func (a *AddrSpace) Fork(core int) (mm.MM, error) {
 	if err := a.checkAlive(); err != nil {
 		return nil, err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.stats.Forks.Add(1)
 	a.m.OpTick(core)
 	// forkOnce fully unwinds on failure (the half-built child is
@@ -241,8 +240,7 @@ func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(core)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {

@@ -23,8 +23,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	if newSize == 0 {
 		return 0, fmt.Errorf("%w: zero new size", mm.ErrBadRange)
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(core)
 
 	if newSize <= oldSize {
@@ -40,10 +39,11 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 				return 0, err
 			}
 		}
-		if sz, ok := a.trackedVA(oldVA); ok && sz == oldSize {
-			a.untrackVA(oldVA)
-			a.trackVA(oldVA, newSize)
+		a.fileMu.Lock()
+		if sz, ok := a.vaSizes[oldVA]; ok && sz == oldSize {
+			a.vaSizes[oldVA] = newSize
 		}
+		a.fileMu.Unlock()
 		return oldVA, nil
 	}
 
@@ -138,8 +138,10 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	c.Close()
 
 	// Retire the old range's address space.
-	if sz, ok := a.trackedVA(oldVA); ok && sz == oldSize {
-		a.untrackVA(oldVA)
+	a.fileMu.Lock()
+	owned := a.untrackExactLocked(oldVA, oldSize)
+	a.fileMu.Unlock()
+	if owned {
 		a.valloc.Free(core, oldVA, oldSize)
 	}
 	return newVA, nil

@@ -36,8 +36,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(core)
 
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
@@ -266,8 +265,7 @@ func (a *AddrSpace) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error 
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(core)
 
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))

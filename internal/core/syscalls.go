@@ -58,8 +58,7 @@ func (a *AddrSpace) mmapAt(core int, va arch.Vaddr, size uint64, perm arch.Perm,
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	// The attempt is a complete transaction that fully unwinds on
@@ -123,19 +122,19 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	if err := a.checkAlive(); err != nil {
 		return 0, err
 	}
-	t0 := a.kernelEnter()
+	t0 := a.stats.EnterKernel()
 	size = alignSize(size, 0)
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	va, err := a.valloc.Alloc(core, size)
 	if err != nil {
-		a.kernelExit(t0)
+		a.stats.ExitKernel(t0)
 		return 0, err
 	}
 	a.trackVA(va, size)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
-		a.kernelExit(t0)
+		a.stats.ExitKernel(t0)
 		return 0, err
 	}
 	kind := pt.StatusPrivateFile
@@ -147,11 +146,11 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	if err != nil {
 		a.untrackVA(va)
 		a.valloc.Free(core, va, size)
-		a.kernelExit(t0)
+		a.stats.ExitKernel(t0)
 		return 0, err
 	}
 	a.registerFileMapping(f, va, pgoff, size/arch.PageSize, shared)
-	a.kernelExit(t0)
+	a.stats.ExitKernel(t0)
 	return va, nil
 }
 
@@ -165,8 +164,7 @@ func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.
 
 // Munmap implements mm.MM (Figure 8 do_syscall_munmap).
 func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -190,22 +188,21 @@ func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
 // allocator-handed VA range. Shared with the batch layer, which runs it
 // after batch commit.
 func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size uint64) {
-	a.pruneFileMappings(va, va+arch.Vaddr(size))
-	if sz, ok := a.trackedVA(va); ok && sz == size {
-		// Fixed mappings are tracked (for reclaim and the collapse
-		// scanner) but their VAs were never the allocator's to hand
-		// out, so they must not be recycled into it — PerCoreVA routes
-		// frees by address and owns only its own arenas.
-		if fixed := a.untrackVA(va); !fixed {
-			a.valloc.Free(core, va, size)
-		}
+	a.fileMu.Lock()
+	gone := a.pruneFileMappingsLocked(va, va+arch.Vaddr(size))
+	owned := a.untrackExactLocked(va, size)
+	a.fileMu.Unlock()
+	for _, f := range gone {
+		f.RemoveMapper(a)
+	}
+	if owned {
+		a.valloc.Free(core, va, size)
 	}
 }
 
 // Mprotect implements mm.MM.
 func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -221,8 +218,7 @@ func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Per
 
 // Msync implements mm.MM: write back dirty shared file pages.
 func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -264,8 +260,7 @@ func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -384,8 +379,7 @@ func (a *AddrSpace) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 
 // pageFaultOnce runs one whole fault inside one transaction.
 func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.stats.PageFaults.Add(1)
 	a.m.OpTick(core)
 	page := arch.PageAlignDown(va)
@@ -400,7 +394,8 @@ func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error 
 	}
 	if st.Kind == pt.StatusPrivateAnon && st.HugeLevel >= 2 {
 		// A huge mapping needs a transaction over the whole span:
-		// restart with a wider cursor (the state is re-queried inside).
+		// restart with a wider cursor and re-query, since the page may
+		// have changed while no lock was held.
 		c.Close()
 		span := arch.SpanBytes(int(st.HugeLevel))
 		base := page &^ arch.Vaddr(span-1)
@@ -409,18 +404,18 @@ func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error 
 			return err
 		}
 		defer wide.Close()
-		return a.faultIn(core, wide, page, acc)
+		if st, err = wide.Query(page); err != nil {
+			return err
+		}
+		return a.faultIn(core, wide, page, acc, st)
 	}
 	defer c.Close()
-	return a.faultIn(core, c, page, acc)
+	return a.faultIn(core, c, page, acc, st)
 }
 
-// faultIn services one page under an already-held cursor.
-func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access) error {
-	st, err := c.Query(page)
-	if err != nil {
-		return err
-	}
+// faultIn services one page, whose status st was queried under the
+// already-held cursor c.
+func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access, st pt.Status) error {
 	switch st.Kind {
 	case pt.StatusMapped:
 		return a.faultMapped(core, c, page, acc, st)
@@ -591,11 +586,22 @@ func (a *AddrSpace) trackVA(va arch.Vaddr, size uint64) {
 	a.fileMu.Unlock()
 }
 
-func (a *AddrSpace) trackedVA(va arch.Vaddr) (uint64, bool) {
-	a.fileMu.Lock()
-	defer a.fileMu.Unlock()
-	sz, ok := a.vaSizes[va]
-	return sz, ok
+// untrackExactLocked retires the tracked range at va if it is exactly
+// size bytes long, and reports whether the allocator owns its VA, i.e.
+// whether the caller must free it. Fixed mappings are tracked (for
+// reclaim and the collapse scanner) but their VAs were never the
+// allocator's to hand out — PerCoreVA routes frees by address and owns
+// only its own arenas. The check and the delete share the caller's
+// fileMu section, so of two racing unmaps of one range only one frees
+// it. The caller holds fileMu.
+func (a *AddrSpace) untrackExactLocked(va arch.Vaddr, size uint64) (owned bool) {
+	if sz, ok := a.vaSizes[va]; !ok || sz != size {
+		return false
+	}
+	owned = !a.fixedVAs[va]
+	delete(a.vaSizes, va)
+	delete(a.fixedVAs, va)
+	return owned
 }
 
 func (a *AddrSpace) untrackVA(va arch.Vaddr) (fixed bool) {

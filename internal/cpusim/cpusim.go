@@ -320,6 +320,9 @@ func (m *Machine) Quiesce() {
 	for c := 0; c < m.Cores; c++ {
 		m.TLB.Tick(c)
 	}
+	// Another core may have swapped out a queue these ticks found empty
+	// and still be applying it.
+	m.TLB.WaitApplied()
 }
 
 // TLBStats snapshots the TLB counters — hit rate, shootdown fan-out,

@@ -8,6 +8,7 @@ package mm
 import (
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
@@ -53,8 +54,9 @@ type Features struct {
 }
 
 // Stats holds cumulative operation counters for one address space.
-// KernelNanos approximates time spent "in the kernel" (inside MM calls)
-// for the user/kernel breakdowns of Figures 16 and 17.
+// KernelNanos is the time spent "in the kernel" (inside MM calls) for
+// the user/kernel breakdowns of Figures 16 and 17; every system
+// brackets its kernel entry points with EnterKernel/ExitKernel.
 type Stats struct {
 	Mmaps       atomic.Uint64
 	Munmaps     atomic.Uint64
@@ -70,11 +72,29 @@ type Stats struct {
 	KernelNanos atomic.Uint64
 }
 
+// clockBase anchors kernel-boundary timestamps. time.Since on a value
+// carrying a monotonic reading costs one clock read, where time.Now
+// costs two (wall and monotonic).
+var clockBase = time.Now()
+
+// EnterKernel reads the monotonic clock on entry to a kernel path.
+// Pair it with ExitKernel, typically as
+// defer s.ExitKernel(s.EnterKernel()).
+func (s *Stats) EnterKernel() time.Duration { return time.Since(clockBase) }
+
+// ExitKernel charges the time since t0 to KernelNanos. Every call is
+// timed: sampling would multiply any preemption landing inside a
+// sampled call by the sampling period.
+func (s *Stats) ExitKernel(t0 time.Duration) {
+	s.KernelNanos.Add(uint64(time.Since(clockBase) - t0))
+}
+
 // Snapshot is a copyable view of Stats.
 type Snapshot struct {
 	Mmaps, Munmaps, Mprotects         uint64
 	PageFaults, SoftFaults, COWBreaks uint64
 	SwapIns, SwapOuts, Forks          uint64
+	Collapses, Demotions              uint64
 	KernelNanos                       uint64
 }
 
@@ -90,6 +110,8 @@ func (s *Stats) Snapshot() Snapshot {
 		SwapIns:     s.SwapIns.Load(),
 		SwapOuts:    s.SwapOuts.Load(),
 		Forks:       s.Forks.Load(),
+		Collapses:   s.Collapses.Load(),
+		Demotions:   s.Demotions.Load(),
 		KernelNanos: s.KernelNanos.Load(),
 	}
 }

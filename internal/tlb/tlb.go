@@ -115,6 +115,10 @@ type coreTLB struct {
 	cells      []epochCell // asidCells generation cells
 	victim     atomic.Uint32
 	hugeVictim atomic.Uint32
+	// hasHuge is set, and never cleared, before this core's first huge
+	// fill. While it is clear the huge array holds no valid entry, so
+	// lookups and precise invalidations skip probing it.
+	hasHuge atomic.Bool
 
 	// Adaptive precise-vs-bump cutover state (see invalidateLocal and
 	// adaptTick). precLimit is read on every local invalidation; the
@@ -184,6 +188,9 @@ type Machine struct {
 	// migShootdowns counts synchronous shootdowns issued on behalf of
 	// frame migration's break-before-make window (NoteMigration).
 	migShootdowns atomic.Uint64
+	// applying counts early-ack inboxes and LATR buffers swapped out for
+	// application and not yet applied (see WaitApplied).
+	applying atomic.Int64
 }
 
 // NoteMigration records one migration-driven synchronous shootdown.
@@ -311,6 +318,9 @@ func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bo
 // overlapping invalidation — even a single 4-KiB record — kills the
 // entry.
 func (c *coreTLB) lookupHuge(cell *epochCell, asid ASID, va arch.Vaddr) (pt.Translation, bool) {
+	if !c.hasHuge.Load() {
+		return pt.Translation{}, false
+	}
 	hdr := hdrValid | uint64(asid)
 	for _, level := range hugeLevels {
 		span := arch.Vaddr(arch.SpanBytes(level))
@@ -366,6 +376,7 @@ func (m *Machine) Insert(core int, asid ASID, va arch.Vaddr, tr pt.Translation) 
 		span := arch.Vaddr(arch.SpanBytes(tr.Level))
 		base := va &^ (span - 1)
 		tr.PFN -= arch.PFN(uint64(va-base) / arch.PageSize)
+		c.hasHuge.Store(true)
 		set := c.hugeSet(asid, base, tr.Level)
 		if c.fillSet(set, &c.hugeVictim, hdr, uint64(base), g, packTr(tr)) {
 			c.stats.hugeEvicts.Add(1)
@@ -537,6 +548,9 @@ func (c *coreTLB) clearSlot(asid ASID, va arch.Vaddr) {
 // span takes the precise path, and missing the huge slot would leave a
 // stale whole-span translation behind.
 func (c *coreTLB) clearHugeSpans(asid ASID, lo, hi arch.Vaddr) {
+	if !c.hasHuge.Load() {
+		return
+	}
 	hdr := hdrValid | uint64(asid)
 	for _, level := range hugeLevels {
 		span := arch.Vaddr(arch.SpanBytes(level))
@@ -829,12 +843,14 @@ func (m *Machine) drainInbox(c *coreTLB) {
 	pending := c.inbox
 	c.inbox = c.inboxSpare[:0]
 	c.inboxSpare = nil
+	m.applying.Add(1)
 	c.inboxN.Store(0)
 	c.inboxMu.Unlock()
 	for _, inv := range pending {
 		c.invalidateLocal(inv)
 	}
 	c.stats.applied.Add(uint64(len(pending)))
+	m.applying.Add(-1)
 	c.inboxMu.Lock()
 	if c.inboxSpare == nil {
 		c.inboxSpare = pending[:0]
@@ -862,6 +878,9 @@ func (m *Machine) Tick(core int) {
 		pending := src.latrBuf
 		src.latrBuf = src.latrSpare[:0]
 		src.latrSpare = nil
+		// Count the buffer in flight before it looks drained, so a
+		// WaitApplied that follows a sweep seeing latrN == 0 sees it.
+		m.applying.Add(1)
 		src.latrN.Store(0)
 		src.latrMu.Unlock()
 		for _, inv := range pending {
@@ -878,11 +897,24 @@ func (m *Machine) Tick(core int) {
 			})
 		}
 		c.stats.applied.Add(uint64(len(pending)))
+		m.applying.Add(-1)
 		src.latrMu.Lock()
 		if src.latrSpare == nil {
 			src.latrSpare = pending[:0]
 		}
 		src.latrMu.Unlock()
+	}
+}
+
+// WaitApplied returns once no early-ack inbox or LATR buffer swapped
+// out for application is still being applied. Both are applied after
+// their lock is released, so a sweep that finds every queue empty can
+// overtake another core's drain that is still clearing slots or bumping
+// epoch cells; a caller that needs every queued invalidation applied
+// ticks every core and then calls WaitApplied.
+func (m *Machine) WaitApplied() {
+	for m.applying.Load() != 0 {
+		runtime.Gosched()
 	}
 }
 

@@ -99,3 +99,19 @@ func BenchmarkInsertHuge(b *testing.B) {
 		m.Insert(0, 1, arch.Vaddr(i%64)*span, trL(arch.PFN(i%64)<<9, 2))
 	}
 }
+
+// BenchmarkLookupMiss times a lookup that misses, the cost every first
+// touch and capacity miss pays before the hardware walk. The core never
+// cached a huge entry, so the miss does not probe the huge array.
+func BenchmarkLookupMiss(b *testing.B) {
+	m := NewMachine(1, ModeSync)
+	for i := 0; i < 64; i++ {
+		m.Insert(0, 1, arch.Vaddr(i)*arch.PageSize, tr(arch.PFN(i)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Lookup(0, 1, arch.Vaddr(64+i%4096)*arch.PageSize); ok {
+			b.Fatal("miss probe hit")
+		}
+	}
+}

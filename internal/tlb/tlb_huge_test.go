@@ -239,3 +239,70 @@ func TestHugeConcurrentShootdowns(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// checkHugeGate pins the huge-presence gate. Core 0 caches only base
+// pages first, so its huge array is never probed; its first huge Insert
+// must still make every 4-KiB offset of the span hit at once. Core 1
+// never caches the huge entry and must miss at every offset.
+func checkHugeGate(t *testing.T, m *Machine) {
+	t.Helper()
+	span := arch.Vaddr(arch.SpanBytes(2))
+	base := 9 * span
+	const basePFN = 1 << 20
+	for p := 0; p < 64; p++ {
+		m.Insert(0, 1, arch.Vaddr(p)*arch.PageSize, tr(arch.PFN(p)))
+	}
+	if m.cores[0].hasHuge.Load() {
+		t.Fatal("base-only core has its huge flag set")
+	}
+	if _, ok := m.Lookup(0, 1, base); ok {
+		t.Fatal("base-only core hit a huge span it never cached")
+	}
+	m.Insert(0, 1, base+5*arch.PageSize, trL(basePFN+5, 2))
+	pages := uint64(span) / arch.PageSize
+	for p := uint64(0); p < pages; p++ {
+		va := base + arch.Vaddr(p)*arch.PageSize
+		if got, ok := m.Lookup(0, 1, va); !ok || got.PFN != basePFN+arch.PFN(p) || got.Level != 2 {
+			t.Fatalf("page %d: got %+v ok=%v, want PFN %#x level 2", p, got, ok, basePFN+arch.PFN(p))
+		}
+		if got, ok := m.Lookup(1, 1, va); ok {
+			t.Fatalf("page %d: core 1 never cached the span but hit %+v", p, got)
+		}
+	}
+	if m.cores[1].hasHuge.Load() {
+		t.Fatal("core 1 has its huge flag set without a huge fill")
+	}
+}
+
+// TestHugeGate runs the gate checks on a quiet machine and under -race
+// with concurrent shootdowns: core 0 initiates single-page shootdowns
+// (running its own precise huge clears beside the probe's fills) and
+// core 2 fills huge entries and issues span shootdowns. The traffic is
+// on another ASID, so it never invalidates the probed entries.
+func TestHugeGate(t *testing.T) {
+	t.Run("quiet", func(t *testing.T) { checkHugeGate(t, NewMachine(3, ModeSync)) })
+	t.Run("shootdowns", func(t *testing.T) {
+		m := NewMachine(3, ModeSync)
+		span := arch.Vaddr(arch.SpanBytes(2))
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b := span * arch.Vaddr(1+i%8)
+				m.Shootdown(0, 2, []arch.Vaddr{b + arch.Vaddr(i%512)*arch.PageSize})
+				m.Insert(2, 2, b, trL(arch.PFN(4096+i%8*512), 2))
+				m.ShootdownRangeSync(2, 2, b, b+span)
+			}
+		}()
+		checkHugeGate(t, m)
+		close(stop)
+		wg.Wait()
+	})
+}
