@@ -117,11 +117,13 @@ func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, erro
 		return 0, err
 	}
 	size = alignSize(size, fl)
+	if size == 0 {
+		return 0, fmt.Errorf("%w: zero size", mm.ErrBadRange)
+	}
 	va, err := b.a.valloc.Alloc(b.core, size)
 	if err != nil {
 		return 0, err
 	}
-	b.a.trackVA(va, size)
 	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, ring: true})
 	return va, nil
 }
@@ -230,16 +232,15 @@ func (b *Batch) Submit() []BatchCQE {
 	}
 
 	// Post-commit bookkeeping, after the translations are provably dead:
-	// successful unmaps retire their reverse-map records and recycle
-	// exactly-matching VA ranges; failed ring-allocated mmaps hand their
-	// range back.
+	// successful unmaps retire their reverse-map records and hand their
+	// ranges back to the VA allocator; failed ring-allocated mmaps hand
+	// their range back.
 	for i := range cqes {
 		e := &b.sq[i]
 		switch {
 		case e.Kind == BatchMunmap && cqes[i].Err == nil:
 			a.munmapFinish(b.core, e.VA, e.Size)
 		case e.Kind == BatchMmap && e.ring && cqes[i].Err != nil:
-			a.untrackVA(e.VA)
 			a.valloc.Free(b.core, e.VA, e.Size)
 		}
 	}

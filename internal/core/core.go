@@ -79,15 +79,16 @@ type AddrSpace struct {
 	swapDev *mem.BlockDev
 	stats   mm.Stats
 
-	// fileMu guards the non-MMU bookkeeping ("rest of the code" state,
-	// §3.4: plain mutexes, no page-table access): file mappings used for
-	// reverse mapping and the VA-range tracking behind Munmap recycling.
+	// fileMu guards the file-mapping records used for reverse mapping
+	// ("rest of the code" state, §3.4: a plain mutex, no page-table
+	// access). What is mapped is recorded only in the tree, and which VAs
+	// are handed out only in valloc.
 	fileMu   sync.Mutex
 	fileMaps []fileMapping
-	vaSizes  map[arch.Vaddr]uint64
-	// fixedVAs marks tracked ranges that came from MmapFixed: their VAs
-	// are not the allocator's, so Munmap must not recycle them into it.
-	fixedVAs map[arch.Vaddr]bool
+	// hasFiles is set, under fileMu, once the space records a file
+	// mapping, and never cleared: munmap skips fileMu while it is clear,
+	// so anonymous mmap and munmap take no space-wide lock.
+	hasFiles atomic.Bool
 
 	// cursors is the per-core transaction-cursor cache (see Lock).
 	cursors []cachedCursor
@@ -113,9 +114,9 @@ type AddrSpace struct {
 	// double) and lets the reclaim sweeps refuse a space whose tree has
 	// already been torn down.
 	destroyed atomic.Bool
-	// reclaimClock is the clock hand of the per-space reclaim scan
-	// (index into the sorted tracked ranges), guarded by fileMu.
-	reclaimClock int
+	// reclaimHand is the clock hand of the per-space reclaim scan: the
+	// VA where the next sweep resumes.
+	reclaimHand atomic.Uint64
 
 	// batch holds the async-batch pipeline's cumulative counters
 	// (see batch.go).
@@ -165,19 +166,17 @@ func New(o Options) (*AddrSpace, error) {
 		va = cpusim.NewGlobalVA()
 	}
 	return &AddrSpace{
-		m:        o.Machine,
-		tree:     tree,
-		isa:      o.ISA,
-		asid:     o.Machine.AllocASID(),
-		proto:    o.Protocol,
-		valloc:   va,
-		perCore:  o.PerCoreVA,
-		coarse:   o.CoarseLocking,
-		swapDev:  o.SwapDev,
-		vaSizes:  make(map[arch.Vaddr]uint64),
-		fixedVAs: make(map[arch.Vaddr]bool),
-		cursors:  make([]cachedCursor, o.Machine.Cores),
-		txDepth:  make([]txCounter, o.Machine.Cores),
+		m:       o.Machine,
+		tree:    tree,
+		isa:     o.ISA,
+		asid:    o.Machine.AllocASID(),
+		proto:   o.Protocol,
+		valloc:  va,
+		perCore: o.PerCoreVA,
+		coarse:  o.CoarseLocking,
+		swapDev: o.SwapDev,
+		cursors: make([]cachedCursor, o.Machine.Cores),
+		txDepth: make([]txCounter, o.Machine.Cores),
 	}, nil
 }
 
@@ -224,29 +223,51 @@ func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npage
 	f.AddMapper(a)
 	a.fileMu.Lock()
 	a.fileMaps = append(a.fileMaps, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages, shared: shared})
+	a.hasFiles.Store(true)
 	a.fileMu.Unlock()
 }
 
-// pruneFileMappingsLocked drops reverse-mapping records whose range
-// lies entirely inside the unmapped range [lo, hi) and returns their
-// files; the caller unregisters each from its file once fileMu is
-// released (AddMapper counts registrations, so the file's mapper entry
-// disappears exactly when this space's last mapping of it goes away).
-// Without this, Munmap leaked one fileMaps record — and one mapper
-// registration — per file mapping for the life of the space. The
-// caller holds fileMu.
-func (a *AddrSpace) pruneFileMappingsLocked(lo, hi arch.Vaddr) (gone []*mem.File) {
+// clip returns the part of fm inside [lo, hi), which must be non-empty.
+func (fm fileMapping) clip(lo, hi arch.Vaddr) fileMapping {
+	end := fm.va + arch.Vaddr(fm.npages*arch.PageSize)
+	lo, hi = maxVA(lo, fm.va), minVA(hi, end)
+	fm.pgoff += uint64(lo-fm.va) / arch.PageSize
+	fm.npages = uint64(hi-lo) / arch.PageSize
+	fm.va = lo
+	return fm
+}
+
+// pruneFileMappingsLocked cuts the unmapped range [lo, hi) out of the
+// reverse-mapping records: a record loses the head or tail the range
+// overlaps, a record the range cuts in the middle splits in two, and a
+// record left empty is dropped. It returns one file per split record
+// (added) and per dropped one (gone); the caller registers or
+// unregisters each with its file once fileMu is released (AddMapper
+// counts registrations, so the file's mapper entry disappears exactly
+// when this space's last mapping of it goes away). The caller holds
+// fileMu.
+func (a *AddrSpace) pruneFileMappingsLocked(lo, hi arch.Vaddr) (added, gone []*mem.File) {
 	kept := a.fileMaps[:0]
+	var tails []fileMapping
 	for _, fm := range a.fileMaps {
 		end := fm.va + arch.Vaddr(fm.npages*arch.PageSize)
-		if fm.va >= lo && end <= hi {
+		switch {
+		case end <= lo || hi <= fm.va:
+			kept = append(kept, fm)
+		case fm.va < lo && hi < end:
+			kept = append(kept, fm.clip(fm.va, lo))
+			tails = append(tails, fm.clip(hi, end))
+			added = append(added, fm.file)
+		case fm.va < lo:
+			kept = append(kept, fm.clip(fm.va, lo))
+		case hi < end:
+			kept = append(kept, fm.clip(hi, end))
+		default:
 			gone = append(gone, fm.file)
-			continue
 		}
-		kept = append(kept, fm)
 	}
-	a.fileMaps = kept
-	return gone
+	a.fileMaps = append(kept, tails...)
+	return added, gone
 }
 
 // dropFileMappings unregisters every file mapping (teardown).

@@ -66,15 +66,11 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	c.needSync = true
 	c.Close()
 
-	// Clone the non-MMU bookkeeping.
+	// Clone the reverse-mapping records; the cloned allocator already
+	// owns every VA the parent does.
 	a.fileMu.Lock()
 	child.fileMaps = append(child.fileMaps, a.fileMaps...)
-	for va, sz := range a.vaSizes {
-		child.vaSizes[va] = sz
-	}
-	for va := range a.fixedVAs {
-		child.fixedVAs[va] = true
-	}
+	child.hasFiles.Store(len(child.fileMaps) > 0)
 	a.fileMu.Unlock()
 	for _, fm := range child.fileMaps {
 		fm.file.AddMapper(child)
@@ -189,10 +185,6 @@ func (a *AddrSpace) Destroy(core int) {
 				s.Dev.FreeBlock(s.Block)
 			}
 		})
-	a.fileMu.Lock()
-	a.vaSizes = make(map[arch.Vaddr]uint64)
-	a.fixedVAs = make(map[arch.Vaddr]bool)
-	a.fileMu.Unlock()
 	a.m.FreeASID(a.asid)
 }
 

@@ -29,21 +29,18 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	if newSize <= oldSize {
 		// Shrink in place.
 		if newSize < oldSize {
-			c, err := a.Lock(core, oldVA+arch.Vaddr(newSize), oldVA+arch.Vaddr(oldSize))
+			tail := oldVA + arch.Vaddr(newSize)
+			c, err := a.Lock(core, tail, oldVA+arch.Vaddr(oldSize))
 			if err != nil {
 				return 0, err
 			}
-			err = c.Unmap(oldVA+arch.Vaddr(newSize), oldVA+arch.Vaddr(oldSize))
+			err = c.Unmap(tail, oldVA+arch.Vaddr(oldSize))
 			c.Close()
 			if err != nil {
 				return 0, err
 			}
+			a.munmapFinish(core, tail, oldSize-newSize)
 		}
-		a.fileMu.Lock()
-		if sz, ok := a.vaSizes[oldVA]; ok && sz == oldSize {
-			a.vaSizes[oldVA] = newSize
-		}
-		a.fileMu.Unlock()
 		return oldVA, nil
 	}
 
@@ -56,7 +53,6 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		a.valloc.Free(core, newVA, newSize)
 		return 0, fmt.Errorf("%w: allocator returned overlapping range", mm.ErrBadRange)
 	}
-	a.trackVA(newVA, newSize)
 
 	// One transaction spans both ranges: its covering page is their
 	// lowest common ancestor. Two separate cursors could self-deadlock
@@ -66,6 +62,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	hi := maxVA(oldVA+arch.Vaddr(oldSize), newVA+arch.Vaddr(newSize))
 	c, err := a.Lock(core, lo, hi)
 	if err != nil {
+		a.valloc.Free(core, newVA, newSize)
 		return 0, err
 	}
 	// The old range's VAs are recycled immediately after; their
@@ -138,12 +135,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	c.Close()
 
 	// Retire the old range's address space.
-	a.fileMu.Lock()
-	owned := a.untrackExactLocked(oldVA, oldSize)
-	a.fileMu.Unlock()
-	if owned {
-		a.valloc.Free(core, oldVA, oldSize)
-	}
+	a.valloc.Free(core, oldVA, oldSize)
 	return newVA, nil
 }
 

@@ -13,13 +13,14 @@ import (
 // allocated (on-demand paging; Figure 8 do_syscall_mmap).
 func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
 	size = alignSize(size, fl)
+	if size == 0 {
+		return 0, fmt.Errorf("%w: zero size", mm.ErrBadRange)
+	}
 	va, err := a.valloc.Alloc(core, size)
 	if err != nil {
 		return 0, err
 	}
-	a.trackVA(va, size)
 	if err := a.mmapAt(core, va, size, perm, fl, false); err != nil {
-		a.untrackVA(va)
 		a.valloc.Free(core, va, size)
 		return 0, err
 	}
@@ -33,14 +34,7 @@ func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Pe
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	if err := a.mmapAt(core, va, size, perm, fl, true); err != nil {
-		return err
-	}
-	// Fixed mappings are tracked like allocator-handed ones, so reclaim
-	// sweeps, the collapse scanner and OOM victim sizing see them;
-	// munmapFinish knows not to recycle a VA the allocator never owned.
-	a.trackFixedVA(va, size)
-	return nil
+	return a.mmapAt(core, va, size, perm, fl, true)
 }
 
 func alignSize(size uint64, fl mm.Flags) uint64 {
@@ -122,8 +116,11 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	if err := a.checkAlive(); err != nil {
 		return 0, err
 	}
-	t0 := a.stats.EnterKernel()
 	size = alignSize(size, 0)
+	if size == 0 {
+		return 0, fmt.Errorf("%w: zero size", mm.ErrBadRange)
+	}
+	t0 := a.stats.EnterKernel()
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	va, err := a.valloc.Alloc(core, size)
@@ -131,9 +128,9 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 		a.stats.ExitKernel(t0)
 		return 0, err
 	}
-	a.trackVA(va, size)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
+		a.valloc.Free(core, va, size)
 		a.stats.ExitKernel(t0)
 		return 0, err
 	}
@@ -144,7 +141,6 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	err = c.Mark(va, va+arch.Vaddr(size), pt.Status{Kind: kind, Perm: perm, File: f, Off: pgoff})
 	c.Close()
 	if err != nil {
-		a.untrackVA(va)
 		a.valloc.Free(core, va, size)
 		a.stats.ExitKernel(t0)
 		return 0, err
@@ -184,20 +180,22 @@ func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
 }
 
 // munmapFinish is the non-MMU bookkeeping tail of a successful unmap:
-// retire reverse-mapping records and recycle an exactly-matching
-// allocator-handed VA range. Shared with the batch layer, which runs it
-// after batch commit.
+// cut the range out of the reverse-mapping records and hand it back to
+// the VA allocator, which recycles only the parts it handed out. Shared
+// with the batch layer, which runs it after batch commit.
 func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size uint64) {
-	a.fileMu.Lock()
-	gone := a.pruneFileMappingsLocked(va, va+arch.Vaddr(size))
-	owned := a.untrackExactLocked(va, size)
-	a.fileMu.Unlock()
-	for _, f := range gone {
-		f.RemoveMapper(a)
+	if a.hasFiles.Load() {
+		a.fileMu.Lock()
+		added, gone := a.pruneFileMappingsLocked(va, va+arch.Vaddr(size))
+		a.fileMu.Unlock()
+		for _, f := range added {
+			f.AddMapper(a)
+		}
+		for _, f := range gone {
+			f.RemoveMapper(a)
+		}
 	}
-	if owned {
-		a.valloc.Free(core, va, size)
-	}
+	a.valloc.Free(core, va, size)
 }
 
 // Mprotect implements mm.MM.
@@ -573,52 +571,4 @@ func logicalPerm(p arch.Perm) arch.Perm {
 		p |= arch.PermWrite
 	}
 	return p
-}
-
-// trackVA bookkeeping: remember allocator-handed ranges so Munmap can
-// recycle them (exact-match only; partial unmaps just retire the range).
-func (a *AddrSpace) trackVA(va arch.Vaddr, size uint64) {
-	a.fileMu.Lock()
-	if a.vaSizes == nil {
-		a.vaSizes = make(map[arch.Vaddr]uint64)
-	}
-	a.vaSizes[va] = size
-	a.fileMu.Unlock()
-}
-
-// untrackExactLocked retires the tracked range at va if it is exactly
-// size bytes long, and reports whether the allocator owns its VA, i.e.
-// whether the caller must free it. Fixed mappings are tracked (for
-// reclaim and the collapse scanner) but their VAs were never the
-// allocator's to hand out — PerCoreVA routes frees by address and owns
-// only its own arenas. The check and the delete share the caller's
-// fileMu section, so of two racing unmaps of one range only one frees
-// it. The caller holds fileMu.
-func (a *AddrSpace) untrackExactLocked(va arch.Vaddr, size uint64) (owned bool) {
-	if sz, ok := a.vaSizes[va]; !ok || sz != size {
-		return false
-	}
-	owned = !a.fixedVAs[va]
-	delete(a.vaSizes, va)
-	delete(a.fixedVAs, va)
-	return owned
-}
-
-func (a *AddrSpace) untrackVA(va arch.Vaddr) (fixed bool) {
-	a.fileMu.Lock()
-	fixed = a.fixedVAs[va]
-	delete(a.vaSizes, va)
-	delete(a.fixedVAs, va)
-	a.fileMu.Unlock()
-	return fixed
-}
-
-// trackFixedVA records a MmapFixed range: visible to reclaim and the
-// collapse scanner like any tracked range, but never recycled into the
-// VA allocator on unmap.
-func (a *AddrSpace) trackFixedVA(va arch.Vaddr, size uint64) {
-	a.fileMu.Lock()
-	a.vaSizes[va] = size
-	a.fixedVAs[va] = true
-	a.fileMu.Unlock()
 }

@@ -148,9 +148,6 @@ func DisarmAll() {
 	}
 }
 
-// AnyArmed reports whether any site is armed.
-func AnyArmed() bool { return armed.Load() > 0 }
-
 // Stats returns how many times the site was checked and fired since it
 // was last armed.
 func (s *Site) Stats() (checked, fired uint64) {

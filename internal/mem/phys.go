@@ -114,9 +114,6 @@ type FrameDesc struct {
 // Order returns the buddy order the frame was allocated with (head only).
 func (d *FrameDesc) Order() int { return int(d.order.Load()) }
 
-// Tail reports whether this frame is a non-head member of a huge block.
-func (d *FrameDesc) Tail() bool { return d.tail.Load() != 0 }
-
 // SetAnonRMap records the migration reverse-map hint: owner (an address
 // space) maps this frame exclusively at va. Owner is stored first so a
 // reader that observes the VA also observes its owner.

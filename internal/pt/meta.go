@@ -96,12 +96,6 @@ func (s Status) SlidBy(pages uint64) Status {
 	return s
 }
 
-// Equivalent reports whether two statuses describe the same backing such
-// that adjacent spans could be represented by one upper-level entry. Two
-// file spans are equivalent only if contiguous handling is done by the
-// caller; here it means "identical record".
-func (s Status) Equivalent(o Status) bool { return s == o }
-
 // MetaArray is the per-PTE metadata array of one PT page (§3.3), indexed
 // by PTE offset.
 type MetaArray [arch.PTEntries]Status
