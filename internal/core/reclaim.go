@@ -20,7 +20,8 @@ import (
 // Shared, COW and file-backed pages are skipped (reclaim for those goes
 // through the file reverse map instead; see mem.File.UnmapAll).
 func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target int) (int, error) {
-	return a.reclaimRangeNode(core, va, size, target, -1)
+	n, _, err := a.reclaimRangeNode(core, va, size, target, -1)
+	return n, err
 }
 
 // reclaimRangeNode is ReclaimRange restricted to pages whose frames
@@ -28,20 +29,23 @@ func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target in
 // block of node-targeted reclaim: freeing frames on the wrong node
 // would cost swap I/O without helping the starved zone. Accessed-bit
 // clearing is not filtered; the second-chance policy stays global so a
-// later cross-node pass still finds honestly cold pages.
-func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, error) {
+// later cross-node pass still finds honestly cold pages. It also
+// returns where the sweep stopped: the end of the range, or the page
+// after the one that met the target, which is where a clock hand
+// resumes.
+func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, arch.Vaddr, error) {
 	if a.swapDev == nil {
-		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
+		return 0, va, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
 	}
 	if err := arch.CheckCanonical(va, size); err != nil {
-		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+		return 0, va, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
 	defer a.stats.ExitKernel(a.stats.EnterKernel())
 	a.m.OpTick(core)
 
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
-		return 0, err
+		return 0, va, err
 	}
 	defer c.Close()
 	c.needSync = true // A-bit clears and unmaps must be seen before reuse
@@ -67,7 +71,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, va, err
 	}
 	schedHit("reclaim:collected")
 	// Huge runs get the same second chance as small pages: a young span
@@ -79,7 +83,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 	for _, r := range hugeRuns {
 		if r.Accessed {
 			if err := c.ClearAccessed(r.VA, r.End()); err != nil {
-				return 0, err
+				return 0, va, err
 			}
 			continue
 		}
@@ -126,7 +130,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 			// stores suffice; the queued shootdown forces re-walks that
 			// will set them again.
 			if err := c.ClearAccessed(r.VA, r.End()); err != nil {
-				return 0, err
+				return 0, va, err
 			}
 			continue
 		}
@@ -197,7 +201,11 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 		rm.swapCompleted.Add(st.Completed)
 		rm.swapFailed.Add(st.Failed + st.Refused)
 	}
-	return reclaimed, firstErr
+	stop := va + arch.Vaddr(size)
+	if len(reqs) >= target {
+		stop = reqs[len(reqs)-1].page + arch.PageSize
+	}
+	return reclaimed, stop, firstErr
 }
 
 // demoteHuge splits the huge leaf mapping the 2-MiB span at base back
